@@ -53,9 +53,15 @@ test-serve:
 # The RGV1 binary wire protocol under the race detector: pipelined
 # out-of-order completion, typed shedding, and the graceful-drain
 # half-close (flush, FIN, linger) are exactly the paths where a timing
-# race becomes a truncated frame, so they get a repeated soak.
+# race becomes a truncated frame, so they get a repeated soak — on
+# ringd's local handler and on the gateway's backend handler of the one
+# connection engine. The last line runs the crosscheck-ordering and
+# in-flight-budget tests without -race: a test that passes only when the
+# race detector slows the loop is a bug report.
 test-wire:
 	$(GO) test -race -count=3 -run 'Wire' ./internal/serve/ ./cmd/ringd/ ./cmd/ringload/
+	$(GO) test -race -count=3 -run 'Wire|Gateway' ./internal/cluster/ ./cmd/ringgw/
+	$(GO) test -count=50 -run 'WireCrosscheckRuns|WireFrontendInflight' ./internal/serve/
 
 # The cluster subsystem under the race detector: rendezvous routing,
 # health hysteresis, failover, hedging, the gateway daemon, the

@@ -104,20 +104,24 @@ func TestWireSecureRoundTrip(t *testing.T) {
 // authenticating with a key outside it is cut off during the handshake
 // and counted in ringd_handshake_failures_total.
 func TestWireSecureRejectsUnknownClient(t *testing.T) {
-	serverKey, trusted, stranger := testKey(t), testKey(t), testKey(t)
-	s, addr := startWireWith(t, Config{}, WireServerOptions{
-		Secure: &secure.ServerConfig{
-			Config:  secure.Config{Identity: serverKey, HandshakeTimeout: 2 * time.Second},
-			Allowed: []secure.PublicKey{trusted.Public()},
-		},
-	})
-	c, err := DialWireSecure(addr, 1, 2*time.Second, netring.Backoff{}, clientFor(stranger, serverKey))
-	if err == nil {
-		c.Close()
-		t.Fatal("dial with a key outside the allow list succeeded")
-	}
-	if s.Metrics().HandshakeFailures() == 0 {
-		t.Error("rejected client not counted as a handshake failure")
+	for _, engine := range wireEngines {
+		t.Run(engine, func(t *testing.T) {
+			serverKey, trusted, stranger := testKey(t), testKey(t), testKey(t)
+			s, addr := startEngine(t, engine, Config{}, WireServerOptions{
+				Secure: &secure.ServerConfig{
+					Config:  secure.Config{Identity: serverKey, HandshakeTimeout: 2 * time.Second},
+					Allowed: []secure.PublicKey{trusted.Public()},
+				},
+			})
+			c, err := DialWireSecure(addr, 1, 2*time.Second, netring.Backoff{}, clientFor(stranger, serverKey))
+			if err == nil {
+				c.Close()
+				t.Fatal("dial with a key outside the allow list succeeded")
+			}
+			if s.Metrics().HandshakeFailures() == 0 {
+				t.Error("rejected client not counted as a handshake failure")
+			}
+		})
 	}
 }
 
@@ -301,72 +305,76 @@ func TestRateLimiter(t *testing.T) {
 // different bucket — keeps its requests inside the latency budget with
 // zero sheds.
 func TestWireRateLimitFairness(t *testing.T) {
-	serverKey, floodKey, politeKey := testKey(t), testKey(t), testKey(t)
-	s, addr := startWireWith(t, Config{}, WireServerOptions{
-		Secure: &secure.ServerConfig{
-			Config: secure.Config{Identity: serverKey, HandshakeTimeout: 2 * time.Second},
-		},
-		RateLimit: &RateLimitConfig{Rate: 25, Burst: 4},
-	})
-	flooder, err := DialWireSecure(addr, 1, 5*time.Second, netring.Backoff{}, clientFor(floodKey, serverKey))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flooder.Close()
-	polite, err := DialWireSecure(addr, 1, 5*time.Second, netring.Backoff{}, clientFor(politeKey, serverKey))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer polite.Close()
-	labels := ring.Figure1().LabelsView()
+	for _, engine := range wireEngines {
+		t.Run(engine, func(t *testing.T) {
+			serverKey, floodKey, politeKey := testKey(t), testKey(t), testKey(t)
+			s, addr := startEngine(t, engine, Config{}, WireServerOptions{
+				Secure: &secure.ServerConfig{
+					Config: secure.Config{Identity: serverKey, HandshakeTimeout: 2 * time.Second},
+				},
+				RateLimit: &RateLimitConfig{Rate: 25, Burst: 4},
+			})
+			flooder, err := DialWireSecure(addr, 1, 5*time.Second, netring.Backoff{}, clientFor(floodKey, serverKey))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer flooder.Close()
+			polite, err := DialWireSecure(addr, 1, 5*time.Second, netring.Backoff{}, clientFor(politeKey, serverKey))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer polite.Close()
+			labels := ring.Figure1().LabelsView()
 
-	var politeWorst time.Duration
-	politeDone := make(chan error, 1)
-	go func() {
-		for i := 0; i < 10; i++ {
-			start := time.Now()
-			if _, err := polite.Elect(labels, repro.AlgorithmB, 3); err != nil {
-				politeDone <- fmt.Errorf("request %d: %w", i, err)
-				return
-			}
-			if d := time.Since(start); d > politeWorst {
-				politeWorst = d
-			}
-			time.Sleep(100 * time.Millisecond) // 10 req/s, well under the 25/s cap
-		}
-		politeDone <- nil
-	}()
+			var politeWorst time.Duration
+			politeDone := make(chan error, 1)
+			go func() {
+				for i := 0; i < 10; i++ {
+					start := time.Now()
+					if _, err := polite.Elect(labels, repro.AlgorithmB, 3); err != nil {
+						politeDone <- fmt.Errorf("request %d: %w", i, err)
+						return
+					}
+					if d := time.Since(start); d > politeWorst {
+						politeWorst = d
+					}
+					time.Sleep(100 * time.Millisecond) // 10 req/s, well under the 25/s cap
+				}
+				politeDone <- nil
+			}()
 
-	shed, served := 0, 0
-	for i := 0; i < 60; i++ {
-		_, err := flooder.Elect(labels, repro.AlgorithmB, 3)
-		var we *WireError
-		switch {
-		case err == nil:
-			served++
-		case errors.As(err, &we) && we.Status == http.StatusTooManyRequests:
-			shed++
-			if we.RetryAfter < 1 {
-				t.Fatalf("429 without a Retry-After hint: %+v", we)
+			shed, served := 0, 0
+			for i := 0; i < 60; i++ {
+				_, err := flooder.Elect(labels, repro.AlgorithmB, 3)
+				var we *WireError
+				switch {
+				case err == nil:
+					served++
+				case errors.As(err, &we) && we.Status == http.StatusTooManyRequests:
+					shed++
+					if we.RetryAfter < 1 {
+						t.Fatalf("429 without a Retry-After hint: %+v", we)
+					}
+				default:
+					t.Fatalf("flooder request %d: %v", i, err)
+				}
 			}
-		default:
-			t.Fatalf("flooder request %d: %v", i, err)
-		}
-	}
-	if err := <-politeDone; err != nil {
-		t.Fatalf("well-behaved peer shed or failed: %v", err)
-	}
-	if shed == 0 {
-		t.Fatal("flooder was never rate limited")
-	}
-	if served == 0 {
-		t.Fatal("flooder burst allowance never served a request")
-	}
-	if politeWorst > 2*time.Second {
-		t.Errorf("well-behaved peer's worst latency %v exceeds the budget", politeWorst)
-	}
-	if s.Metrics().Snapshot().RateLimited != int64(shed) {
-		t.Errorf("rate-limited counter %d, want %d", s.Metrics().Snapshot().RateLimited, shed)
+			if err := <-politeDone; err != nil {
+				t.Fatalf("well-behaved peer shed or failed: %v", err)
+			}
+			if shed == 0 {
+				t.Fatal("flooder was never rate limited")
+			}
+			if served == 0 {
+				t.Fatal("flooder burst allowance never served a request")
+			}
+			if politeWorst > 2*time.Second {
+				t.Errorf("well-behaved peer's worst latency %v exceeds the budget", politeWorst)
+			}
+			if s.Metrics().Snapshot().RateLimited != int64(shed) {
+				t.Errorf("rate-limited counter %d, want %d", s.Metrics().Snapshot().RateLimited, shed)
+			}
+		})
 	}
 }
 

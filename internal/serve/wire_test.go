@@ -298,37 +298,41 @@ func TestWireShedsTyped(t *testing.T) {
 // the connection keeps serving; the invalid ring must not leave a cache
 // entry behind.
 func TestWireBadRequestKeepsConnection(t *testing.T) {
-	s, _, addr := startWire(t, Config{Workers: 1})
-	c, err := DialWire(addr, 1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, engine := range wireEngines {
+		t.Run(engine, func(t *testing.T) {
+			s, addr := startEngine(t, engine, Config{Workers: 1}, WireServerOptions{})
+			c, err := DialWire(addr, 1, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	// Symmetric ring: shallow-valid, rejected by ProtocolFor on the miss
-	// path.
-	_, err = c.Elect([]ring.Label{5, 5, 5, 5}, repro.AlgorithmA, 2)
-	var we *WireError
-	if !errors.As(err, &we) || we.Status != 400 {
-		t.Fatalf("symmetric ring returned %v, want *WireError 400", err)
-	}
-	if got := s.cache.len(); got != 0 {
-		t.Errorf("invalid request left %d cache entries", got)
-	}
+			// Symmetric ring: shallow-valid, rejected by ProtocolFor on the miss
+			// path.
+			_, err = c.Elect([]ring.Label{5, 5, 5, 5}, repro.AlgorithmA, 2)
+			var we *WireError
+			if !errors.As(err, &we) || we.Status != 400 {
+				t.Fatalf("symmetric ring returned %v, want *WireError 400", err)
+			}
+			if got := s.cache.len(); got != 0 {
+				t.Errorf("invalid request left %d cache entries", got)
+			}
 
-	// k out of range: rejected at decode, before the cache.
-	_, err = c.Elect([]ring.Label{1, 2, 2}, repro.AlgorithmA, wireMaxK+1)
-	if !errors.As(err, &we) || we.Status != 400 {
-		t.Fatalf("k=%d returned %v, want *WireError 400", wireMaxK+1, err)
-	}
+			// k out of range: rejected at decode, before the cache.
+			_, err = c.Elect([]ring.Label{1, 2, 2}, repro.AlgorithmA, wireMaxK+1)
+			if !errors.As(err, &we) || we.Status != 400 {
+				t.Fatalf("k=%d returned %v, want *WireError 400", wireMaxK+1, err)
+			}
 
-	// The connection must still serve valid requests.
-	out, err := c.Elect([]ring.Label{1, 2, 2}, repro.AlgorithmA, 2)
-	if err != nil {
-		t.Fatalf("valid request after rejections: %v", err)
-	}
-	if out.LeaderLabel != 1 {
-		t.Errorf("leader label %v, want 1", out.LeaderLabel)
+			// The connection must still serve valid requests.
+			out, err := c.Elect([]ring.Label{1, 2, 2}, repro.AlgorithmA, 2)
+			if err != nil {
+				t.Fatalf("valid request after rejections: %v", err)
+			}
+			if out.LeaderLabel != 1 {
+				t.Errorf("leader label %v, want 1", out.LeaderLabel)
+			}
+		})
 	}
 }
 
@@ -373,43 +377,47 @@ func TestWireUnknownAlgTypedError(t *testing.T) {
 // wrong magic, bad frame version, an unknown frame type, an oversized
 // length prefix — must close the connection (no panic, no reply loop).
 func TestWireGarbageClosesConnection(t *testing.T) {
-	_, _, addr := startWire(t, Config{Workers: 1})
+	for _, engine := range wireEngines {
+		t.Run(engine, func(t *testing.T) {
+			_, addr := startEngine(t, engine, Config{Workers: 1}, WireServerOptions{})
 
-	expectClose := func(name string, payload []byte) {
-		t.Helper()
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nc.Close()
-		if _, err := nc.Write(payload); err != nil {
-			return // server already hung up: fine
-		}
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		buf := make([]byte, 64)
-		for {
-			n, err := nc.Read(buf)
-			if err != nil {
-				return // closed, as required
+			expectClose := func(name string, payload []byte) {
+				t.Helper()
+				nc, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nc.Close()
+				if _, err := nc.Write(payload); err != nil {
+					return // server already hung up: fine
+				}
+				nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+				buf := make([]byte, 64)
+				for {
+					n, err := nc.Read(buf)
+					if err != nil {
+						return // closed, as required
+					}
+					if n > 0 {
+						t.Fatalf("%s: server replied %x to garbage, want connection close", name, buf[:n])
+					}
+				}
 			}
-			if n > 0 {
-				t.Fatalf("%s: server replied %x to garbage, want connection close", name, buf[:n])
-			}
-		}
+
+			expectClose("bad magic", []byte("HTTP GET / HTTP/1.1\r\n"))
+			// Good magic, frame body shorter than the header.
+			expectClose("short body", append([]byte(wireMagic), 0, 0, 0, 2, wireVersion, byte(wireFrameElect)))
+			// Good magic, bad version.
+			bad := appendWireElect([]byte(wireMagic), 1, repro.AlgorithmA, 2, []ring.Label{1, 2, 2})
+			bad[len(wireMagic)+4] = 99
+			expectClose("bad version", bad)
+			// Good magic, server-only frame type from a client.
+			res := appendWireResult([]byte(wireMagic), 1, false, 0, &canonOutcome{})
+			expectClose("result from client", res)
+			// Good magic, length prefix beyond the request bound.
+			expectClose("oversized frame", append([]byte(wireMagic), 0xff, 0xff, 0xff, 0xff))
+		})
 	}
-
-	expectClose("bad magic", []byte("HTTP GET / HTTP/1.1\r\n"))
-	// Good magic, frame body shorter than the header.
-	expectClose("short body", append([]byte(wireMagic), 0, 0, 0, 2, wireVersion, byte(wireFrameElect)))
-	// Good magic, bad version.
-	bad := appendWireElect([]byte(wireMagic), 1, repro.AlgorithmA, 2, []ring.Label{1, 2, 2})
-	bad[len(wireMagic)+4] = 99
-	expectClose("bad version", bad)
-	// Good magic, server-only frame type from a client.
-	res := appendWireResult([]byte(wireMagic), 1, false, 0, &canonOutcome{})
-	expectClose("result from client", res)
-	// Good magic, length prefix beyond the request bound.
-	expectClose("oversized frame", append([]byte(wireMagic), 0xff, 0xff, 0xff, 0xff))
 }
 
 // TestWireGracefulDrain pipelines traffic while the wire server shuts

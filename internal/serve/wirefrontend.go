@@ -2,11 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
-	"net"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/ring"
@@ -31,12 +28,13 @@ type WireFrontendConfig struct {
 	MaxRingSize int
 	// RequestTimeout bounds one backend call. Default 30s.
 	RequestTimeout time.Duration
-	// Metrics, when set, records every terminated request under the
-	// "wire/elect" endpoint with the HTTP-equivalent status.
+	// Metrics records every terminated request under the "wire/elect"
+	// endpoint with the HTTP-equivalent status, plus handshake failures
+	// and sheds. Default: a private registry no one scrapes.
 	Metrics *Metrics
 	// Secure, when set, requires the ringsec handshake before the RGV1
 	// magic, exactly as on a WireServer port. Handshake failures are
-	// counted in Metrics (when set) and dropped frameless.
+	// counted in Metrics and dropped frameless.
 	Secure *secure.ServerConfig
 	// RateLimit, when set, applies a per-peer token bucket to ELECT
 	// requests at the gateway edge, keyed by authenticated fingerprint
@@ -44,311 +42,83 @@ type WireFrontendConfig struct {
 	RateLimit *RateLimitConfig
 }
 
-func (c WireFrontendConfig) withDefaults() WireFrontendConfig {
-	if c.MaxRingSize <= 0 {
-		c.MaxRingSize = 4096
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	return c
-}
-
-// WireFrontend terminates the RGV1 protocol over any WireBackend. It is
-// the gateway-side twin of WireServer: the same framing, the same
-// per-connection batching writer, and the same drain discipline (stop
-// reading, answer everything in flight, flush, FIN, linger) — but the
-// election itself is delegated, so a proxy can terminate wire traffic
-// without owning a cache or an admission queue. Every decoded ELECT
-// detaches onto a goroutine, because the backend call blocks on the
-// network rather than on a local cache lookup.
-type WireFrontend struct {
-	b       WireBackend
-	cfg     WireFrontendConfig
-	ep      *endpointStats
-	limiter *rateLimiter
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[*feConn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+// WireFrontend is the RGV1 engine with the backend handler installed:
+// the gateway side of the protocol, with the framing, batching writer,
+// in-flight budget and drain discipline of every WireServer, but the
+// election itself delegated, so a proxy terminates wire traffic without
+// owning a cache or an admission queue.
+type WireFrontend = WireServer
 
 // NewWireFrontend builds a frontend terminating RGV1 onto b.
 func NewWireFrontend(b WireBackend, cfg WireFrontendConfig) *WireFrontend {
-	f := &WireFrontend{
-		b:     b,
-		cfg:   cfg.withDefaults(),
-		conns: make(map[*feConn]struct{}),
+	if cfg.MaxRingSize <= 0 {
+		cfg.MaxRingSize = 4096
 	}
-	if f.cfg.Metrics != nil {
-		f.ep = f.cfg.Metrics.Endpoint("wire/elect")
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
 	}
-	if f.cfg.RateLimit != nil {
-		f.limiter = newRateLimiter(*f.cfg.RateLimit)
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(nil)
 	}
-	return f
+	ws := newWireEngine(cfg.Metrics, cfg.MaxRingSize, cfg.RequestTimeout,
+		WireServerOptions{Secure: cfg.Secure, RateLimit: cfg.RateLimit})
+	ws.b = b
+	ws.elect = (*wireConn).electBackend
+	return ws
 }
 
-// Serve accepts RGV1 connections on ln until Shutdown. It returns
-// ErrWireServerClosed after a graceful stop, or the accept error that
-// ended the loop.
-func (f *WireFrontend) Serve(ln net.Listener) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		ln.Close()
-		return ErrWireServerClosed
-	}
-	f.ln = ln
-	f.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			f.mu.Lock()
-			closed := f.closed
-			f.mu.Unlock()
-			if closed {
-				return ErrWireServerClosed
-			}
-			return err
-		}
-		fc := &feConn{f: f, conn: c, rw: c, w: newWireWriter(c), draining: make(chan struct{})}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			c.Close()
-			return ErrWireServerClosed
-		}
-		f.conns[fc] = struct{}{}
-		f.wg.Add(1)
-		f.mu.Unlock()
-		go fc.serve()
-	}
-}
+// minRetryAfter is a frontend's budget-shed hint. A frontend keeps no
+// queue to estimate a wait from, so it sends the smallest hint there is.
+func minRetryAfter() int { return 1 }
 
-// Shutdown drains the frontend with the WireServer discipline: stop
-// accepting, stop reading, answer every in-flight proxied election,
-// flush each writer completely, half-close, linger, close. If ctx
-// expires first the remaining connections are torn down hard and
-// ctx.Err is returned.
-func (f *WireFrontend) Shutdown(ctx context.Context) error {
-	f.mu.Lock()
-	f.closed = true
-	ln := f.ln
-	conns := make([]*feConn, 0, len(f.conns))
-	for fc := range f.conns {
-		conns = append(conns, fc)
-	}
-	f.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, fc := range conns {
-		fc.beginDrain()
-	}
-	done := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		f.mu.Lock()
-		for fc := range f.conns {
-			fc.conn.Close()
-		}
-		f.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// feConn is one terminated client connection of a WireFrontend.
-type feConn struct {
-	f        *WireFrontend
-	conn     net.Conn // the accepted socket: deadlines and hard teardown
-	rw       net.Conn // the framing stream: conn, or its secure wrapper
-	w        *wireWriter
-	peer     string // rate-limit identity
-	draining chan struct{}
-	drainOne sync.Once
-
-	// Reader-goroutine-only scratch.
-	body   []byte
-	labels []ring.Label
-}
-
-func (fc *feConn) beginDrain() {
-	fc.drainOne.Do(func() {
-		close(fc.draining)
-		fc.conn.SetReadDeadline(time.Now())
-	})
-}
-
-func (fc *feConn) isDraining() bool {
-	select {
-	case <-fc.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-// serve is the reader loop; the teardown mirrors wireConn.serve so a
-// client of the gateway gets exactly the byte-level close behavior a
-// client of ringd gets.
-func (fc *feConn) serve() {
-	defer fc.f.wg.Done()
-	defer func() {
-		fc.w.inflight.Wait()
-		fc.w.close()
-		if hc, ok := fc.rw.(interface{ CloseWrite() error }); ok {
-			if hc.CloseWrite() == nil {
-				fc.conn.SetReadDeadline(time.Now().Add(wireLingerTimeout))
-				io.Copy(io.Discard, fc.conn)
-			}
-		}
-		fc.conn.Close()
-		fc.f.mu.Lock()
-		delete(fc.f.conns, fc)
-		fc.f.mu.Unlock()
-	}()
-
-	if sec := fc.f.cfg.Secure; sec != nil {
-		sconn, err := secure.Server(fc.conn, sec)
-		if err != nil {
-			if fc.f.cfg.Metrics != nil {
-				fc.f.cfg.Metrics.HandshakeFailure()
-			}
-			return
-		}
-		if fc.isDraining() {
-			return
-		}
-		fc.rw = sconn
-		fc.peer = sconn.Peer().Fingerprint()
-		fc.w.setOut(sconn)
-	} else if host, _, err := net.SplitHostPort(fc.conn.RemoteAddr().String()); err == nil {
-		fc.peer = host
-	} else {
-		fc.peer = fc.conn.RemoteAddr().String()
-	}
-
-	var magic [4]byte
-	if _, err := io.ReadFull(fc.rw, magic[:]); err != nil || string(magic[:]) != wireMagic {
+// electBackend is the frontend's per-ELECT handler. Every ELECT detaches,
+// because the backend call blocks on the network rather than on a local
+// cache lookup; the decoded labels alias reader scratch, so they are
+// copied first.
+func (wc *wireConn) electBackend(start time.Time, req wireElect) {
+	if !wc.reserve(start, req.id, minRetryAfter) {
 		return
 	}
-	maxBody := wireMaxRequestBody(fc.f.cfg.MaxRingSize)
-	var pfx [4]byte
-	for {
-		if _, err := io.ReadFull(fc.rw, pfx[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(pfx[:])
-		if int(n) < wireHeaderLen || int(n) > maxBody {
-			return
-		}
-		if cap(fc.body) < int(n) {
-			fc.body = make([]byte, n)
-		}
-		body := fc.body[:n]
-		if _, err := io.ReadFull(fc.rw, body); err != nil {
-			return
-		}
-		if !fc.processFrame(body) {
-			return
-		}
-	}
-}
-
-// processFrame decodes one ELECT and detaches the backend call. The
-// decoded labels alias reader scratch, so they are copied before the
-// goroutine launches — the one structural difference from wireConn,
-// which consumes them synchronously.
-func (fc *feConn) processFrame(body []byte) bool {
-	start := time.Now()
-	typ, id, payload, err := decodeWireHeader(body)
-	if err != nil || typ != wireFrameElect {
-		return false
-	}
-	var req wireElect
-	req, fc.labels, err = decodeWireElect(id, payload, fc.labels, fc.f.cfg.MaxRingSize)
-	if err != nil {
-		fc.respondError(start, id, wireErrBadRequest, 0, err.Error())
-		return true
-	}
-	if fc.isDraining() {
-		fc.respondError(start, id, wireErrDraining, 0, "shutting down")
-		return true
-	}
-	if rl := fc.f.limiter; rl != nil {
-		if ok, retry := rl.allow(fc.peer, time.Now()); !ok {
-			if fc.f.cfg.Metrics != nil {
-				fc.f.cfg.Metrics.RateLimited()
-			}
-			fc.respondError(start, id, wireErrShed, retry, "rate limited")
-			return true
-		}
-	}
-	labels := make([]ring.Label, len(req.labels))
-	copy(labels, req.labels)
-	alg, k := req.alg, req.k
-	fc.w.inflight.Add(1)
+	// The goroutine captures the fields it uses, not req, which keeps its
+	// closure one heap size class smaller on every routed ELECT.
+	labels, id, alg, k := slices.Clone(req.labels), req.id, req.alg, req.k
 	go func() {
-		defer fc.w.inflight.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), fc.f.cfg.RequestTimeout)
+		defer wc.release()
+		ctx, cancel := context.WithTimeout(context.Background(), wc.ws.timeout)
 		defer cancel()
-		out, err := fc.f.b.Elect(ctx, labels, alg, k)
+		out, err := wc.ws.b.Elect(ctx, labels, alg, k)
 		if err != nil {
-			fc.respondBackendError(start, id, err)
+			wc.respondBackendError(start, id, err)
 			return
 		}
-		co := canonOutcome{
+		wc.respondResult(start, id, out.Cached, out.Leader, &canonOutcome{
 			Leader:        out.Leader, // already in the requester's frame
 			LeaderLabel:   out.LeaderLabel,
 			Messages:      out.Messages,
 			PeakSpaceBits: out.PeakSpaceBits,
 			TimeUnits:     out.TimeUnits,
-		}
-		fc.w.appendResult(id, out.Cached, out.Leader, &co)
-		fc.observe(start, 200)
+		})
 	}()
-	return true
 }
 
 // respondBackendError maps a backend failure onto the ERROR frame
 // vocabulary: a typed *WireError keeps its status (and Retry-After on
 // sheds); anything else — including a transport failure to every
 // replica — is an internal error from the client's point of view.
-func (fc *feConn) respondBackendError(start time.Time, id uint64, err error) {
+func (wc *wireConn) respondBackendError(start time.Time, id uint64, err error) {
 	var we *WireError
-	if errors.As(err, &we) {
-		switch we.Status {
-		case 400:
-			fc.respondError(start, id, wireErrBadRequest, 0, we.Msg)
-		case 429:
-			fc.respondError(start, id, wireErrShed, we.RetryAfter, we.Msg)
-		case 503:
-			fc.respondError(start, id, wireErrDraining, 0, we.Msg)
-		default:
-			fc.respondError(start, id, wireErrInternal, 0, we.Msg)
-		}
+	if !errors.As(err, &we) {
+		wc.respondError(start, id, wireErrInternal, 0, "election failed: "+err.Error())
 		return
 	}
-	fc.respondError(start, id, wireErrInternal, 0, "election failed: "+err.Error())
-}
-
-func (fc *feConn) respondError(start time.Time, id uint64, code wireErrCode, retryAfter int, msg string) {
-	fc.w.appendError(id, code, retryAfter, msg)
-	fc.observe(start, code.httpStatus())
-}
-
-func (fc *feConn) observe(start time.Time, status int) {
-	if fc.f.ep != nil {
-		fc.f.cfg.Metrics.observe(fc.f.ep, status, time.Since(start))
+	switch we.Status {
+	case 400:
+		wc.respondError(start, id, wireErrBadRequest, 0, we.Msg)
+	case 429:
+		wc.respondError(start, id, wireErrShed, we.RetryAfter, we.Msg)
+	case 503:
+		wc.respondError(start, id, wireErrDraining, 0, we.Msg)
+	default:
+		wc.respondError(start, id, wireErrInternal, 0, we.Msg)
 	}
 }

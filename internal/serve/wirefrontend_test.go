@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,6 +110,34 @@ func (b wireClientBackend) Elect(ctx context.Context, labels []ring.Label, alg r
 	return b.c.Elect(labels, alg, k)
 }
 
+// wireEngines names the two per-ELECT handlers of the one RGV1 engine;
+// connection-level tests run through both. "local" is a WireServer over
+// a Server. "backend" is a WireFrontend proxying over a WireClient to
+// that Server's own plaintext wire port; the frontend records into the
+// Server's metrics, so one set of assertions serves both.
+var wireEngines = []string{"local", "backend"}
+
+// startEngine brings up a Server behind the named engine, with opts
+// hardening the engine's edge, and returns the engine's dial address.
+func startEngine(t *testing.T, engine string, cfg Config, opts WireServerOptions) (*Server, string) {
+	t.Helper()
+	if engine == "local" {
+		return startWireWith(t, cfg, opts)
+	}
+	s, backendAddr := startWireWith(t, cfg, WireServerOptions{})
+	bc, err := DialWire(backendAddr, 2, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	return s, startFrontend(t, wireClientBackend{bc}, WireFrontendConfig{
+		MaxRingSize: s.cfg.MaxRingSize,
+		Metrics:     s.Metrics(),
+		Secure:      opts.Secure,
+		RateLimit:   opts.RateLimit,
+	})
+}
+
 // TestWireFrontendProxiesToWireServer stacks the full binary path —
 // client → frontend → client → WireServer → Server — and checks the
 // answer matches a direct election, rotation frames included, and that
@@ -151,5 +183,124 @@ func TestWireFrontendProxiesToWireServer(t *testing.T) {
 	var we *WireError
 	if !errors.As(err, &we) || we.Status != 400 {
 		t.Errorf("symmetric ring through proxy: got %v, want WireError 400", err)
+	}
+}
+
+// blockingBackend parks every election until release is closed.
+type blockingBackend struct {
+	release chan struct{}
+	calls   atomic.Int64
+}
+
+func (b *blockingBackend) Elect(ctx context.Context, labels []ring.Label, alg repro.Algorithm, k int) (WireOutcome, error) {
+	b.calls.Add(1)
+	select {
+	case <-b.release:
+		return WireOutcome{LeaderLabel: labels[0]}, nil
+	case <-ctx.Done():
+		return WireOutcome{}, ctx.Err()
+	}
+}
+
+// TestWireFrontendInflightBudgetSheds pins the per-connection in-flight
+// budget on the gateway side: one connection pipelining more ELECTs than
+// the budget admits, against a backend that parks every call, gets typed
+// 429s for the excess instead of an unbounded pile of parked goroutines,
+// and every request is answered exactly once after the backend releases.
+func TestWireFrontendInflightBudgetSheds(t *testing.T) {
+	b := &blockingBackend{release: make(chan struct{})}
+	addr := startFrontend(t, b, WireFrontendConfig{})
+	const budget = wireMaxInflightBytes / wireMaxResponseBody
+	const n = budget + 100
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	// Replies are read on their own goroutine so neither side's writes
+	// stall on a full socket buffer.
+	type reply struct {
+		id         uint64
+		status     int
+		retryAfter int
+	}
+	replies := make(chan reply, n)
+	go func() {
+		defer close(replies)
+		br := bufio.NewReader(nc)
+		var pfx [4]byte
+		for {
+			if _, err := io.ReadFull(br, pfx[:]); err != nil {
+				return
+			}
+			body := make([]byte, binary.BigEndian.Uint32(pfx[:]))
+			if _, err := io.ReadFull(br, body); err != nil {
+				return
+			}
+			typ, id, payload, err := decodeWireHeader(body)
+			if err != nil {
+				return
+			}
+			r := reply{id: id, status: 200}
+			if typ == wireFrameError {
+				ef, err := decodeWireError(payload)
+				if err != nil {
+					return
+				}
+				r.status, r.retryAfter = ef.code.httpStatus(), ef.retryAfter
+			}
+			replies <- r
+		}
+	}()
+
+	frames := []byte(wireMagic)
+	labels := ring.Figure1().LabelsView()
+	for id := uint64(1); id <= n; id++ {
+		frames = appendWireElect(frames, id, repro.AlgorithmB, 3, labels)
+	}
+	if _, err := nc.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := make(map[uint64]bool, n)
+	shed := 0
+	deadline := time.After(10 * time.Second)
+	next := func(phase string) {
+		t.Helper()
+		select {
+		case r, ok := <-replies:
+			if !ok {
+				t.Fatalf("%s: connection closed after %d of %d replies", phase, len(seen), n)
+			}
+			if seen[r.id] {
+				t.Fatalf("request %d answered twice", r.id)
+			}
+			seen[r.id] = true
+			switch r.status {
+			case 200:
+			case 429:
+				shed++
+				if r.retryAfter < 1 {
+					t.Errorf("budget shed without a Retry-After hint: %+v", r)
+				}
+			default:
+				t.Fatalf("request %d: status %d, want 200 or 429", r.id, r.status)
+			}
+		case <-deadline:
+			t.Fatalf("%s: %d of %d replies, %d sheds, %d backend calls parked",
+				phase, len(seen), n, shed, b.calls.Load())
+		}
+	}
+	for shed == 0 {
+		next("waiting for a budget shed")
+	}
+	if calls := b.calls.Load(); calls > budget {
+		t.Errorf("%d backend calls parked at once, budget %d", calls, budget)
+	}
+	close(b.release)
+	for len(seen) < n {
+		next("after release")
 	}
 }

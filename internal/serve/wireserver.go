@@ -26,23 +26,42 @@ var ErrWireServerClosed = errors.New("serve: wire server closed")
 // construction (inflight.Wait before close) it should not be observed.
 var errWireWriterClosed = errors.New("serve: wire writer closed")
 
-// WireServer serves the RGV1 binary protocol on behalf of a Server. It
-// is a second front end over the same machinery the HTTP handlers use —
-// one result cache, one admission queue, one metrics registry, one
-// crosscheck policy — so the two protocols can never disagree about an
-// election. Build with NewWireServer, run Serve on a dedicated
-// listener, and Shutdown before Server.Close (the same
-// stop-accepting-then-drain ordering as http.Server.Shutdown).
+// wireMaxInflightBytes bounds, per connection, the response bytes that
+// detached responders (miss owners, singleflight waiters, backend calls)
+// may hold in flight; each reserves the worst-case response size, so a
+// connection holds at most 1 MiB / wireMaxResponseBody (about 3,300)
+// detached requests. Excess requests are shed instead of buffered.
+const wireMaxInflightBytes = 1 << 20
+
+// WireServer is the one RGV1 connection engine. It owns the listener
+// (accept loop, connection set, graceful Shutdown) and every
+// per-connection concern: the optional ringsec handshake, the magic
+// check, framing, ELECT decode, the draining check, the per-peer rate
+// limit, the in-flight budget, the batching writer, and the flush, FIN
+// and linger teardown. Only the per-ELECT handler differs, and the
+// constructor picks it:
 //
-// Per connection, a reader goroutine decodes pipelined ELECT frames and
-// answers cache hits inline; misses and singleflight waiters detach
-// onto goroutines and complete out of order, matched by request id. All
-// responses funnel through a per-connection batching writer that
-// coalesces up to wireMaxWriteBatch frames per Write syscall.
+//   - NewWireServer(With) serves elections from a local Server — the same
+//     result cache, admission queue, metrics registry and crosscheck
+//     policy the HTTP handlers use, so the two protocols can never
+//     disagree. Cache hits are answered inline in the reader goroutine,
+//     allocation-free; misses and singleflight waiters detach and
+//     complete out of order, matched by request id.
+//   - NewWireFrontend delegates every ELECT to a WireBackend on a
+//     detached goroutine, so a gateway terminates RGV1 without owning a
+//     cache or an admission queue.
+//
+// Run Serve on a dedicated listener, and Shutdown before Server.Close
+// (the same stop-accepting-then-drain ordering as http.Server.Shutdown).
 type WireServer struct {
-	s       *Server
-	ep      *endpointStats
+	elect   func(wc *wireConn, start time.Time, req wireElect) // the per-ELECT handler
+	s       *Server                                            // local handler: cache, admission, crosscheck
+	b       WireBackend                                        // backend handler: the delegated election
+	maxRing int
+	timeout time.Duration // bounds one detached election
 	opts    WireServerOptions
+	metrics *Metrics
+	ep      *endpointStats
 	limiter *rateLimiter
 
 	mu     sync.Mutex
@@ -65,12 +84,6 @@ type WireServerOptions struct {
 	// secure port, remote host otherwise; over-budget requests get the
 	// SHED error frame with a Retry-After hint.
 	RateLimit *RateLimitConfig
-	// MaxInflightBytes bounds, per connection, the response bytes that
-	// detached responders (miss owners, singleflight waiters) may hold
-	// in flight; each reserves the worst-case response size. Excess
-	// requests are shed instead of buffered. Default 1 MiB; negative
-	// disables the budget.
-	MaxInflightBytes int
 }
 
 // NewWireServer builds the wire front end of s. One Server can carry at
@@ -82,14 +95,21 @@ func NewWireServer(s *Server) *WireServer {
 
 // NewWireServerWith builds a wire front end with hardening options.
 func NewWireServerWith(s *Server, opts WireServerOptions) *WireServer {
-	if opts.MaxInflightBytes == 0 {
-		opts.MaxInflightBytes = 1 << 20
-	}
+	ws := newWireEngine(s.metrics, s.cfg.MaxRingSize, s.cfg.RequestTimeout, opts)
+	ws.s = s
+	ws.elect = (*wireConn).electLocal
+	return ws
+}
+
+// newWireEngine builds the handler-independent part of a WireServer.
+func newWireEngine(m *Metrics, maxRing int, timeout time.Duration, opts WireServerOptions) *WireServer {
 	ws := &WireServer{
-		s:     s,
-		ep:    s.metrics.Endpoint("wire/elect"),
-		opts:  opts,
-		conns: make(map[*wireConn]struct{}),
+		maxRing: maxRing,
+		timeout: timeout,
+		opts:    opts,
+		metrics: m,
+		ep:      m.Endpoint("wire/elect"),
+		conns:   make(map[*wireConn]struct{}),
 	}
 	if opts.RateLimit != nil {
 		ws.limiter = newRateLimiter(*opts.RateLimit)
@@ -187,7 +207,7 @@ type wireConn struct {
 	drainOne sync.Once
 
 	// inflightBytes tracks response bytes reserved by this connection's
-	// detached responders, bounded by MaxInflightBytes.
+	// detached responders, bounded by wireMaxInflightBytes.
 	inflightBytes atomic.Int64
 
 	// Reader-goroutine-only scratch.
@@ -205,22 +225,27 @@ func newWireConn(ws *WireServer, c net.Conn) *wireConn {
 	}
 }
 
-// reserveInflight claims worst-case response room for one detached
-// responder; it reports false when the connection's bytes-in-flight
-// budget is exhausted and the request should be shed instead.
-func (wc *wireConn) reserveInflight() bool {
-	max := wc.ws.opts.MaxInflightBytes
-	if max < 0 {
-		return true
-	}
-	if wc.inflightBytes.Add(wireMaxResponseBody) > int64(max) {
+// reserve admits one detached responder against the connection's
+// in-flight budget: it claims worst-case response room and registers
+// with the drain. When the budget is exhausted it answers a SHED frame
+// carrying retryAfter() instead and reports false. An admitted responder
+// runs on its own goroutine, so the reader keeps draining pipelined
+// requests, and calls release when it has answered.
+func (wc *wireConn) reserve(start time.Time, id uint64, retryAfter func() int) bool {
+	if wc.inflightBytes.Add(wireMaxResponseBody) > wireMaxInflightBytes {
 		wc.inflightBytes.Add(-wireMaxResponseBody)
+		wc.ws.metrics.RateLimited()
+		wc.respondError(start, id, wireErrShed, retryAfter(), "connection response budget exhausted")
 		return false
 	}
+	wc.w.inflight.Add(1)
 	return true
 }
 
-func (wc *wireConn) releaseInflight() { wc.inflightBytes.Add(-wireMaxResponseBody) }
+func (wc *wireConn) release() {
+	wc.inflightBytes.Add(-wireMaxResponseBody)
+	wc.w.inflight.Done()
+}
 
 // beginDrain stops this connection's reader: the blocked Read is
 // interrupted via an immediate deadline, after which the reader loop
@@ -281,7 +306,7 @@ func (wc *wireConn) serve() {
 		// a non-RGV1 client on a plaintext port.
 		sconn, err := secure.Server(wc.conn, sec)
 		if err != nil {
-			wc.ws.s.metrics.HandshakeFailure()
+			wc.ws.metrics.HandshakeFailure()
 			return
 		}
 		if wc.isDraining() {
@@ -302,7 +327,7 @@ func (wc *wireConn) serve() {
 	if _, err := io.ReadFull(wc.rw, magic[:]); err != nil || string(magic[:]) != wireMagic {
 		return // not an RGV1 client; hang up without a frame
 	}
-	maxBody := wireMaxRequestBody(wc.ws.s.cfg.MaxRingSize)
+	maxBody := wireMaxRequestBody(wc.ws.maxRing)
 	var pfx [4]byte
 	for {
 		if _, err := io.ReadFull(wc.rw, pfx[:]); err != nil {
@@ -328,12 +353,10 @@ func (wc *wireConn) serve() {
 // processFrame handles one received frame body. It returns false when
 // the connection can no longer be trusted and must close; a payload
 // error on a well-framed ELECT answers an ERROR frame and keeps the
-// connection. This is the v2 hot path: on a warm cache it runs
-// allocation-free end to end (scratch decode, pooled canonicalization,
-// sharded lookup, batched response append).
+// connection. Everything up to the handler runs allocation-free on
+// scratch, so a local cache hit stays allocation-free end to end.
 func (wc *wireConn) processFrame(body []byte) bool {
 	start := time.Now()
-	s := wc.ws.s
 	typ, id, payload, err := decodeWireHeader(body)
 	if err != nil || typ != wireFrameElect {
 		// Header-level garbage, or a frame type only servers send:
@@ -341,7 +364,7 @@ func (wc *wireConn) processFrame(body []byte) bool {
 		return false
 	}
 	var req wireElect
-	req, wc.labels, err = decodeWireElect(id, payload, wc.labels, s.cfg.MaxRingSize)
+	req, wc.labels, err = decodeWireElect(id, payload, wc.labels, wc.ws.maxRing)
 	if err != nil {
 		wc.respondError(start, id, wireErrBadRequest, 0, err.Error())
 		return true
@@ -352,14 +375,22 @@ func (wc *wireConn) processFrame(body []byte) bool {
 	}
 	if rl := wc.ws.limiter; rl != nil {
 		if ok, retry := rl.allow(wc.peer, time.Now()); !ok {
-			s.metrics.RateLimited()
+			wc.ws.metrics.RateLimited()
 			wc.respondError(start, id, wireErrShed, retry, "rate limited")
 			return true
 		}
 	}
+	wc.ws.elect(wc, start, req)
+	return true
+}
 
-	// Canonicalize and look up straight from the decoded label scratch —
-	// no ring.Ring exists on this path.
+// electLocal is the local Server's per-ELECT handler: the v2 hot path.
+// On a warm cache it runs allocation-free (pooled canonicalization,
+// sharded lookup, batched response append). It canonicalizes and looks
+// up straight from the decoded label scratch — no ring.Ring exists on
+// this path.
+func (wc *wireConn) electLocal(start time.Time, req wireElect) {
+	s := wc.ws.s
 	n := len(req.labels)
 	key, rot, sc := canonicalKey(req.labels, req.alg, req.k)
 	e, owner := s.cache.lookup(key, hashKey(key))
@@ -368,33 +399,33 @@ func (wc *wireConn) processFrame(body []byte) bool {
 	if owner {
 		s.metrics.CacheMiss()
 		wc.runMiss(start, req, e, rot)
-		return true
+		return
 	}
 	s.metrics.CacheHit()
+	id := req.id
 	select {
 	case <-e.ready:
 		// Completed entry: answer inline, in the reader goroutine.
 		if e.err != nil {
 			wc.respondEntryError(start, id, e.err)
-			return true
+			return
 		}
-		wc.respondResult(start, id, true, (e.out.Leader+rot)%n, e.out)
+		// Crosscheck before the RESULT is queued, as the HTTP handler
+		// does: a client holding the answer can rely on the sampled
+		// re-run having been counted.
 		if s.shouldCrosscheck() {
 			wc.crosscheckHit(req, rot, e.out)
 		}
+		wc.respondResult(start, id, true, (e.out.Leader+rot)%n, e.out)
 	default:
 		// Deduplicated into another requester's flight: wait off the
 		// reader loop so pipelined requests behind this one keep flowing.
-		if !wc.reserveInflight() {
-			s.metrics.RateLimited()
-			wc.respondError(start, id, wireErrShed, s.adm.retryAfterSeconds(), "connection response budget exhausted")
-			return true
+		if !wc.reserve(start, id, s.adm.retryAfterSeconds) {
+			return
 		}
-		wc.w.inflight.Add(1)
 		go func() {
-			defer wc.w.inflight.Done()
-			defer wc.releaseInflight()
-			t := time.NewTimer(s.cfg.RequestTimeout)
+			defer wc.release()
+			t := time.NewTimer(wc.ws.timeout)
 			defer t.Stop()
 			select {
 			case <-e.ready:
@@ -409,22 +440,25 @@ func (wc *wireConn) processFrame(body []byte) bool {
 			wc.respondResult(start, id, true, (e.out.Leader+rot)%n, e.out)
 		}()
 	}
-	return true
 }
 
-// runMiss owns a fresh cache entry: it materializes the canonical ring
-// (the one place the wire path builds a ring.Ring), finishes validation
-// the decoder could not do, and runs the election through the shared
-// admission layer on a detached goroutine so the reader keeps draining
-// pipelined requests meanwhile.
-func (wc *wireConn) runMiss(start time.Time, req wireElect, e *entry, rot int) {
-	s := wc.ws.s
-	n := len(req.labels)
+// canonRing materializes the canonical rotation of decoded labels — the
+// one place the wire path builds a ring.Ring.
+func canonRing(labels []ring.Label, rot int) (*ring.Ring, error) {
+	n := len(labels)
 	canonLabels := make([]ring.Label, n)
 	for i := range canonLabels {
-		canonLabels[i] = req.labels[(rot+i)%n]
+		canonLabels[i] = labels[(rot+i)%n]
 	}
-	canon, err := ring.New(canonLabels)
+	return ring.New(canonLabels)
+}
+
+// runMiss owns a fresh cache entry: it materializes the canonical ring,
+// finishes validation the decoder could not do, and runs the election
+// through the shared admission layer on a detached goroutine.
+func (wc *wireConn) runMiss(start time.Time, req wireElect, e *entry, rot int) {
+	s := wc.ws.s
+	canon, err := canonRing(req.labels, rot)
 	if err == nil {
 		// Class validation (multiplicity, asymmetry) — the HTTP path does
 		// this pre-lookup via ProtocolFor; here the ring only exists now.
@@ -435,18 +469,14 @@ func (wc *wireConn) runMiss(start time.Time, req wireElect, e *entry, rot int) {
 		wc.respondError(start, req.id, wireErrBadRequest, 0, err.Error())
 		return
 	}
-	id := req.id
-	if !wc.reserveInflight() {
-		s.metrics.RateLimited()
+	id, n := req.id, len(req.labels)
+	if !wc.reserve(start, id, s.adm.retryAfterSeconds) {
 		s.cache.abandon(e, errSaturated)
-		wc.respondError(start, id, wireErrShed, s.adm.retryAfterSeconds(), "connection response budget exhausted")
 		return
 	}
-	wc.w.inflight.Add(1)
 	go func() {
-		defer wc.w.inflight.Done()
-		defer wc.releaseInflight()
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+		defer wc.release()
+		ctx, cancel := context.WithTimeout(context.Background(), wc.ws.timeout)
 		defer cancel()
 		if err := s.adm.submit(ctx, req.alg.String(), "sim", func(sc *repro.ElectScratch) {
 			out, rerr := s.runElectionInto(canon, req.alg, req.k, "sim", sc)
@@ -470,12 +500,7 @@ func (wc *wireConn) runMiss(start time.Time, req wireElect, e *entry, rot int) {
 // samples: it still holds the decoded labels the canonical ring is
 // rebuilt from (the same synchronous cost profile as the HTTP path).
 func (wc *wireConn) crosscheckHit(req wireElect, rot int, out *canonOutcome) {
-	n := len(req.labels)
-	canonLabels := make([]ring.Label, n)
-	for i := range canonLabels {
-		canonLabels[i] = req.labels[(rot+i)%n]
-	}
-	canon, err := ring.New(canonLabels)
+	canon, err := canonRing(req.labels, rot)
 	if err != nil {
 		return // unreachable: the cached entry implies a valid ring
 	}
@@ -483,17 +508,17 @@ func (wc *wireConn) crosscheckHit(req wireElect, rot int, out *canonOutcome) {
 }
 
 // respondResult appends one RESULT frame and records the request in the
-// shared metrics (endpoint "wire/elect", status 200).
+// metrics (endpoint "wire/elect", status 200).
 func (wc *wireConn) respondResult(start time.Time, id uint64, cached bool, leader int, out *canonOutcome) {
 	wc.w.appendResult(id, cached, leader, out)
-	wc.ws.s.metrics.observe(wc.ws.ep, 200, time.Since(start))
+	wc.ws.metrics.observe(wc.ws.ep, 200, time.Since(start))
 }
 
 // respondError appends one typed ERROR frame, recording it under the
 // equivalent HTTP status so /metrics tells one story for both protocols.
 func (wc *wireConn) respondError(start time.Time, id uint64, code wireErrCode, retryAfter int, msg string) {
 	wc.w.appendError(id, code, retryAfter, msg)
-	wc.ws.s.metrics.observe(wc.ws.ep, code.httpStatus(), time.Since(start))
+	wc.ws.metrics.observe(wc.ws.ep, code.httpStatus(), time.Since(start))
 }
 
 // respondEntryError maps a cache-entry error (shed, drain, bad request,
